@@ -13,7 +13,6 @@
 #include "core/rac_agent.hpp"
 #include "harness.hpp"
 #include "obs/profiler.hpp"
-#include "obs/timer.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -70,9 +69,9 @@ int main() {
     bool profiling;
     double best_ms = std::numeric_limits<double>::infinity();
   };
-  // "profiling on" enables both the ScopedTimer histograms and the
-  // hierarchical phase profiler (obs::ProfileScope) wired through the
-  // management loop -- the <5% check covers the whole instrumentation set.
+  // "profiling on" enables the phase scopes (obs::ProfileScope, with their
+  // latency histograms) wired through the management loop -- the <5%
+  // check covers the whole instrumentation set.
   Arm arms[] = {
       {"no sink, profiling off", nullptr, false},
       {"null sink, profiling on", &null_sink, true},
@@ -120,32 +119,29 @@ int main() {
     }
   });
   obs::set_profiling(false);
-  const double timer_off_ns = ns_per_op(10'000'000, [](std::uint64_t n) {
-    for (std::uint64_t i = 0; i < n; ++i) {
-      obs::ScopedTimer t(&histogram);
-    }
-  });
   const double scope_off_ns = ns_per_op(10'000'000, [](std::uint64_t n) {
     for (std::uint64_t i = 0; i < n; ++i) {
-      obs::ProfileScope s("bench.obs_overhead.off");
+      obs::ProfileScope s("bench.obs_overhead.off", &histogram);
     }
   });
   obs::set_profiling(true);
-  // The enabled ProfileScope is the cost ceiling for one phase boundary
-  // (two clock reads + a child lookup); the instrumented code pays it per
-  // management-loop phase, never per simulated event.
+  // The enabled ProfileScope, carrying a histogram, is the cost ceiling for
+  // one phase boundary (two clock reads, a child lookup, one observation);
+  // the instrumented code pays it per management-loop phase, never per
+  // simulated event.
   const double scope_on_ns = ns_per_op(1'000'000, [](std::uint64_t n) {
     for (std::uint64_t i = 0; i < n; ++i) {
-      obs::ProfileScope s("bench.obs_overhead.on");
+      obs::ProfileScope s("bench.obs_overhead.on", &histogram);
     }
   });
 
   util::TextTable prims({"primitive", "ns/op"});
   prims.add_row({"Counter::add", util::fmt(counter_ns, 1)});
   prims.add_row({"Histogram::observe", util::fmt(histogram_ns, 1)});
-  prims.add_row({"ScopedTimer (profiling off)", util::fmt(timer_off_ns, 1)});
-  prims.add_row({"ProfileScope (profiling off)", util::fmt(scope_off_ns, 1)});
-  prims.add_row({"ProfileScope (profiling on)", util::fmt(scope_on_ns, 1)});
+  prims.add_row(
+      {"ProfileScope + histogram (profiling off)", util::fmt(scope_off_ns, 1)});
+  prims.add_row(
+      {"ProfileScope + histogram (profiling on)", util::fmt(scope_on_ns, 1)});
   std::cout << "\n" << prims.str();
 
   const bool pass = worst_overhead < 0.05;

@@ -8,7 +8,6 @@
 #include "obs/metrics.hpp"
 #include "obs/pool.hpp"
 #include "obs/profiler.hpp"
-#include "obs/timer.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 #include <stdexcept>
@@ -44,8 +43,7 @@ InitialPolicy learn_initial_policy(env::Environment& environment,
       registry.counter("core.policy_init.offline_samples");
   obs::Histogram& h_train = registry.histogram("core.policy_init.train_us",
                                                obs::latency_us_bounds());
-  const obs::ScopedTimer timer(&h_train);
-  const obs::ProfileScope profile("core.policy_init");
+  const obs::ProfileScope profile("core.policy_init", &h_train);
 
   InitialPolicy policy;
   policy.context = environment.context();
@@ -82,7 +80,7 @@ InitialPolicy learn_initial_policy(env::Environment& environment,
       }
       double total = 0.0;
       for (int rep = 0; rep < options.samples_per_config; ++rep) {
-        total += clone->measure(samples[i])  // rac-lint: allow(unchecked-measure) offline probe
+        total += clone->measure(samples[i])  // rac-analyze: allow(unchecked-measure) offline probe
                      .response_ms;
       }
       responses[i] = total / options.samples_per_config;
@@ -93,7 +91,7 @@ InitialPolicy learn_initial_policy(env::Environment& environment,
       const obs::ProfileScope sample_profile("policy_init.coarse_sample");
       double total = 0.0;
       for (int rep = 0; rep < options.samples_per_config; ++rep) {
-        total += environment.measure(samples[i])  // rac-lint: allow(unchecked-measure) offline probe
+        total += environment.measure(samples[i])  // rac-analyze: allow(unchecked-measure) offline probe
                      .response_ms;
       }
       responses[i] = total / options.samples_per_config;

@@ -11,7 +11,6 @@
 #include "env/context.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
-#include "obs/timer.hpp"
 #include "util/log.hpp"
 
 namespace rac::core {
@@ -113,7 +112,7 @@ config::Configuration RacAgent::decide() {
     return current_;
   }
   {
-    const obs::ScopedTimer timer(select_us_);
+    const obs::ProfileScope profile("rac.select", select_us_);
     last_selection_ = online_policy_.select_detailed(qtable_, current_, rng_);
   }
   if (last_selection_.explored) explorations_->add(1);
@@ -136,8 +135,7 @@ double RacAgent::lookup_response(const config::Configuration& c) const {
 
 void RacAgent::retrain() {
   retrain_count_->add(1);
-  const obs::ScopedTimer timer(retrain_us_);
-  const obs::ProfileScope profile("rac.retrain");
+  const obs::ProfileScope profile("rac.retrain", retrain_us_);
   // Batch sweep over every remembered state plus the current one, so the
   // fresh observation propagates through the Q-table (Section 4.2). Sweep
   // in canonical (sorted) state order: the result must not depend on how

@@ -11,7 +11,6 @@
 
 #include "core/snapshot.hpp"
 #include "obs/profiler.hpp"
-#include "obs/timer.hpp"
 
 namespace rac::core {
 
@@ -148,7 +147,7 @@ AgentTrace run_agent(env::Environment& environment, ConfigAgent& agent,
     checkpoint.traffic_interval = environment.traffic_interval();
     checkpoint.agent_state = state.str();
     {
-      const obs::ScopedTimer timer(&h_checkpoint);
+      const obs::ProfileScope profile("runner.checkpoint", &h_checkpoint);
       write_checkpoint_file(options.checkpoint_path, checkpoint);
     }
     c_checkpoint_writes.add(1);
@@ -186,8 +185,8 @@ AgentTrace run_agent(env::Environment& environment, ConfigAgent& agent,
     int attempts = 1;
     bool missing = false;
     {
-      const obs::ScopedTimer timer(&h_iteration);
-      const obs::ProfileScope iteration_profile("runner.iteration");
+      const obs::ProfileScope iteration_profile("runner.iteration",
+                                                &h_iteration);
       {
         const obs::ProfileScope decide_profile("runner.decide");
         applied = agent.decide();
@@ -195,7 +194,7 @@ AgentTrace run_agent(env::Environment& environment, ConfigAgent& agent,
       const obs::ProfileScope measure_profile("runner.measure");
       if (!options.robustness.enabled) {
         // Paper-exact path: the monitor cannot fail, every interval lands.
-        sample = environment.measure(applied);  // rac-lint: allow(unchecked-measure)
+        sample = environment.measure(applied);  // rac-analyze: allow(unchecked-measure)
         agent.observe(applied, sample);
       } else {
         std::optional<env::PerfSample> measured =

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "obs/metrics.hpp"
-#include "obs/timer.hpp"
 #include "queueing/mva.hpp"
 #include "workload/tpcw.hpp"
 
@@ -63,6 +62,14 @@ AnalyticEnv::AnalyticEnv(const SystemContext& context,
   subnet_.add_station(queueing::Station{"web-vm", 1.0, {1.0}});
   subnet_.add_station(queueing::Station{"appdb-vm", 1.0, {1.0}});
   outer_.add_station(queueing::Station{"website", 1.0, {1.0}});
+  obs::Registry& reg = obs::registry_or_default(opt_.registry);
+  c_measurements_ = &reg.counter("env.analytic.measurements");
+  c_evaluations_ = &reg.counter("env.analytic.evaluations");
+  c_noise_draws_ = &reg.counter("env.analytic.noise_draws");
+  c_traffic_intervals_ = &reg.counter("core.traffic.intervals");
+  c_traffic_overlays_ = &reg.counter("core.traffic.overlays");
+  g_concurrency_scale_ = &reg.gauge("core.traffic.concurrency_scale");
+  g_think_scale_ = &reg.gauge("core.traffic.think_scale");
 }
 
 std::unique_ptr<Environment> AnalyticEnv::clone_with_seed(
@@ -81,10 +88,7 @@ std::unique_ptr<Environment> AnalyticEnv::clone_with_seed(
 }
 
 PerfSample AnalyticEnv::measure(const Configuration& configuration) {
-  // Resolved per call against the injected registry; function-local
-  // statics here would pin the counters to the first caller's registry.
-  obs::Registry& reg = obs::registry_or_default(opt_.registry);
-  reg.counter("env.analytic.measurements").add(1);
+  c_measurements_->add(1);
 
   // Resolve this interval's traffic target: a measure_under overlay wins,
   // else the installed model's emission at the cursor. The cursor counts
@@ -98,11 +102,10 @@ PerfSample AnalyticEnv::measure(const Configuration& configuration) {
   }
   if (traffic_ != nullptr) ++traffic_interval_;
   if (target.has_value()) {
-    reg.counter("core.traffic.intervals").add(1);
-    if (overlay_.has_value()) reg.counter("core.traffic.overlays").add(1);
-    reg.gauge("core.traffic.concurrency_scale")
-        .set(target->concurrency_scale);
-    reg.gauge("core.traffic.think_scale").set(target->think_scale);
+    c_traffic_intervals_->add(1);
+    if (overlay_.has_value()) c_traffic_overlays_->add(1);
+    g_concurrency_scale_->set(target->concurrency_scale);
+    g_think_scale_->set(target->think_scale);
   }
 
   PerfSample sample = evaluate_target(
@@ -110,7 +113,7 @@ PerfSample AnalyticEnv::measure(const Configuration& configuration) {
   if (opt_.noise_sigma > 0.0) {
     sample.response_ms *= rng_.lognormal_unit(opt_.noise_sigma);
     sample.throughput_rps *= rng_.lognormal_unit(opt_.noise_sigma * 0.5);
-    reg.counter("env.analytic.noise_draws").add(2);
+    c_noise_draws_->add(2);
   }
   return sample;
 }
@@ -149,11 +152,7 @@ PerfSample AnalyticEnv::evaluate_under(const Configuration& cfg,
 PerfSample AnalyticEnv::evaluate_target(
     const Configuration& cfg, const workload::TrafficTarget* target,
     ModelDiagnostics* diagnostics) const {
-  obs::Registry& reg = obs::registry_or_default(opt_.registry);
-  reg.counter("env.analytic.evaluations").add(1);
-  obs::Histogram& h_evaluate =
-      reg.histogram("env.analytic.evaluate_us", obs::latency_us_bounds());
-  const obs::ScopedTimer eval_timer(&h_evaluate);
+  c_evaluations_->add(1);
   const tiersim::SystemParams& P = opt_.system;
   // With a traffic target: the blended workload at the scaled population.
   // A one-hot blend with unit scales reproduces the plain path bitwise

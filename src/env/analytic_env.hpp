@@ -37,6 +37,8 @@
 #include "workload/dynamic.hpp"
 
 namespace rac::obs {
+class Counter;
+class Gauge;
 class Registry;
 }
 
@@ -148,6 +150,14 @@ class AnalyticEnv : public Environment {
   /// Transient per-measurement override (measure_under); never outlives
   /// the call that set it.
   std::optional<workload::TrafficTarget> overlay_;
+  // Telemetry handles resolved against opt_.registry at construction.
+  obs::Counter* c_measurements_ = nullptr;
+  obs::Counter* c_evaluations_ = nullptr;
+  obs::Counter* c_noise_draws_ = nullptr;
+  obs::Counter* c_traffic_intervals_ = nullptr;
+  obs::Counter* c_traffic_overlays_ = nullptr;
+  obs::Gauge* g_concurrency_scale_ = nullptr;
+  obs::Gauge* g_think_scale_ = nullptr;
 
   PerfSample evaluate_target(const config::Configuration& configuration,
                              const workload::TrafficTarget* target,

@@ -4,12 +4,17 @@
 #include <cmath>
 
 #include "obs/metrics.hpp"
-#include "obs/timer.hpp"
 
 namespace rac::env {
 
 SimEnv::SimEnv(const SystemContext& context, const SimEnvOptions& options)
-    : ctx_(context), opt_(options), next_seed_(options.seed) {}
+    : ctx_(context), opt_(options), next_seed_(options.seed) {
+  obs::Registry& reg = obs::registry_or_default(opt_.registry);
+  c_measurements_ = &reg.counter("env.sim.measurements");
+  c_traffic_intervals_ = &reg.counter("core.traffic.intervals");
+  g_concurrency_scale_ = &reg.gauge("core.traffic.concurrency_scale");
+  g_think_scale_ = &reg.gauge("core.traffic.think_scale");
+}
 
 void SimEnv::rebuild(const config::Configuration& configuration) {
   tiersim::SimSetup setup;
@@ -33,13 +38,7 @@ void SimEnv::rebuild(const config::Configuration& configuration) {
 }
 
 PerfSample SimEnv::measure(const config::Configuration& configuration) {
-  // Resolved per call against the injected registry; function-local
-  // statics here would pin the counters to the first caller's registry.
-  obs::Registry& reg = obs::registry_or_default(opt_.registry);
-  reg.counter("env.sim.measurements").add(1);
-  obs::Histogram& h_measure =
-      reg.histogram("env.sim.measure_us", obs::latency_us_bounds());
-  const obs::ScopedTimer timer(&h_measure);
+  c_measurements_->add(1);
 
   std::optional<workload::TrafficTarget> target;
   if (traffic_ != nullptr && !traffic_->empty()) {
@@ -48,9 +47,9 @@ PerfSample SimEnv::measure(const config::Configuration& configuration) {
   }
   if (traffic_ != nullptr) ++traffic_interval_;
   if (target.has_value()) {
-    reg.counter("core.traffic.intervals").add(1);
-    reg.gauge("core.traffic.concurrency_scale").set(target->concurrency_scale);
-    reg.gauge("core.traffic.think_scale").set(target->think_scale);
+    c_traffic_intervals_->add(1);
+    g_concurrency_scale_->set(target->concurrency_scale);
+    g_think_scale_->set(target->think_scale);
   }
 
   // A changed target replaces the browser population, like a mix switch at

@@ -22,6 +22,11 @@
 #include "tiersim/web_system.hpp"
 #include "workload/dynamic.hpp"
 
+namespace rac::obs {
+class Counter;
+class Gauge;
+}  // namespace rac::obs
+
 namespace rac::env {
 
 struct SimEnvOptions {
@@ -74,6 +79,11 @@ class SimEnv : public Environment {
   /// Target the live system_ was built under (nullopt: static legacy
   /// population). measure() rebuilds when the interval's target differs.
   std::optional<workload::TrafficTarget> applied_target_;
+  // Telemetry handles resolved against opt_.registry at construction.
+  obs::Counter* c_measurements_ = nullptr;
+  obs::Counter* c_traffic_intervals_ = nullptr;
+  obs::Gauge* g_concurrency_scale_ = nullptr;
+  obs::Gauge* g_think_scale_ = nullptr;
 
   void rebuild(const config::Configuration& configuration);
 };

@@ -134,9 +134,11 @@ FleetManager::FleetManager(std::vector<TenantSpec> specs, FleetOptions options,
           tenant.spec.id, agent_options, library_, initial_policy);
     }
   });
-  obs::registry_or_default(opt_.registry)
-      .gauge("fleet.tenants")
-      .set(static_cast<double>(tenants_.size()));
+  obs::Registry& registry = obs::registry_or_default(opt_.registry);
+  registry.gauge("fleet.tenants").set(static_cast<double>(tenants_.size()));
+  c_segments_ = &registry.counter("fleet.segments");
+  c_tenant_intervals_ = &registry.counter("fleet.tenant_intervals");
+  c_retrain_rounds_ = &registry.counter("fleet.retrain_rounds");
 }
 
 std::size_t FleetManager::shard_begin(std::size_t s) const noexcept {
@@ -202,10 +204,9 @@ void FleetManager::run_segment(int from, int to) {
       tenant.stats.policy_switches = tenant.agent->policy_switches();
     }
   });
-  obs::Registry& registry = obs::registry_or_default(opt_.registry);
-  registry.counter("fleet.segments").add(1);
-  registry.counter("fleet.tenant_intervals")
-      .add(static_cast<std::uint64_t>(to - from) * tenants_.size());
+  c_segments_->add(1);
+  c_tenant_intervals_->add(static_cast<std::uint64_t>(to - from) *
+                           tenants_.size());
 }
 
 void FleetManager::cross_tenant_retrain() {
@@ -285,7 +286,7 @@ void FleetManager::cross_tenant_retrain() {
     tenant.agent->rebase_library(library_);
   }
   ++retrain_rounds_;
-  obs::registry_or_default(opt_.registry).counter("fleet.retrain_rounds").add(1);
+  c_retrain_rounds_->add(1);
 }
 
 FleetReport FleetManager::report() const {

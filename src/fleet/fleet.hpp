@@ -202,6 +202,10 @@ class FleetManager {
   std::vector<std::unique_ptr<obs::Registry>> shard_registries_;
   int completed_ = 0;
   int retrain_rounds_ = 0;
+  // fleet.* handles resolved against opt_.registry at construction.
+  obs::Counter* c_segments_ = nullptr;
+  obs::Counter* c_tenant_intervals_ = nullptr;
+  obs::Counter* c_retrain_rounds_ = nullptr;
 };
 
 }  // namespace rac::fleet

@@ -3,8 +3,10 @@
 // The hot paths of the RAC pipeline (TD sweeps, environment evaluations,
 // MVA recursions) update metrics millions of times per experiment, so the
 // update path is a single relaxed atomic operation on a handle obtained
-// once; registration (name lookup) is mutex-guarded and meant to happen
-// once per call site (function-local static handles). Snapshots are
+// once; registration (a mutex-guarded name lookup) is meant to happen once
+// per component, in its constructor, against the registry it was given --
+// never per call, and never into a function-local static, which would pin
+// the handle to the first caller's registry. Snapshots are
 // consistent enough for reporting -- each cell is read atomically, the set
 // of cells is read under the registration mutex -- and export to an
 // aligned text form and to JSON for machine consumption.
@@ -98,6 +100,10 @@ class Histogram {
   std::atomic<double> sum_{0.0};
 };
 
+/// Shared bucket layout for microsecond-scale latency histograms:
+/// 1us .. ~8.6s in powers of 2.
+std::vector<double> latency_us_bounds();
+
 // -- snapshots ---------------------------------------------------------------
 
 struct CounterSample {
@@ -177,9 +183,9 @@ Registry& default_registry();
 /// Resolve an injectable registry pointer: `r` if non-null, else the
 /// process-wide default. Library code outside src/obs/ must route every
 /// fallback through this helper rather than naming default_registry()
-/// directly (rac-lint rule `default-registry`): direct references are how
-/// components end up pinned to the global registry and silently ignore an
-/// injected one.
+/// directly (rac-analyze rule `default-registry`): direct references are
+/// how components end up pinned to the global registry and silently ignore
+/// an injected one.
 Registry& registry_or_default(Registry* r);
 
 }  // namespace rac::obs

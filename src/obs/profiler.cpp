@@ -9,12 +9,28 @@ namespace rac::obs {
 
 namespace {
 
+std::atomic<bool> g_profiling{true};
+
 std::uint64_t next_profiler_id() {
   static std::atomic<std::uint64_t> counter{0};
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
+// The profiler a scope or anchor records into: none while profiling is off.
+Profiler* active_profiler(Profiler* requested) {
+  if (!g_profiling.load(std::memory_order_relaxed)) return nullptr;
+  return requested != nullptr ? requested : &Profiler::default_profiler();
+}
+
 }  // namespace
+
+void set_profiling(bool enabled) noexcept {
+  g_profiling.store(enabled, std::memory_order_relaxed);
+}
+
+bool profiling_enabled() noexcept {
+  return g_profiling.load(std::memory_order_relaxed);
+}
 
 struct Profiler::Node {
   explicit Node(std::string node_name) : name(std::move(node_name)) {}
@@ -214,11 +230,9 @@ Profiler& Profiler::default_profiler() {
   return *profiler;                            // atexit hooks must stay safe
 }
 
-ProfileScope::ProfileScope(const char* name, Profiler* profiler)
-    : profiler_(profiling_enabled()
-                    ? (profiler != nullptr ? profiler
-                                           : &Profiler::default_profiler())
-                    : nullptr) {
+ProfileScope::ProfileScope(const char* name, Histogram* histogram,
+                           Profiler* profiler)
+    : profiler_(active_profiler(profiler)), histogram_(histogram) {
   if (profiler_ == nullptr) return;
   epoch_ = profiler_->epoch();
   node_ = profiler_->enter(name);
@@ -227,17 +241,19 @@ ProfileScope::ProfileScope(const char* name, Profiler* profiler)
 
 ProfileScope::~ProfileScope() {
   if (profiler_ == nullptr) return;
-  if (profiler_->epoch() != epoch_) return;  // reset() abandoned this frame
-  const std::uint64_t end_ns = profiler_->clock_now();
-  profiler_->exit(node_, end_ns - start_ns_);
+  const std::uint64_t elapsed_ns = profiler_->clock_now() - start_ns_;
+  if (histogram_ != nullptr) {
+    histogram_->observe(static_cast<double>(elapsed_ns) * 1e-3);
+  }
+  // reset() abandons open frames; the histogram, which reset() does not
+  // touch, still records the scope.
+  if (profiler_->epoch() != epoch_) return;
+  profiler_->exit(node_, elapsed_ns);
 }
 
 ProfileAnchor::ProfileAnchor(const std::vector<std::string>& path,
                              Profiler* profiler)
-    : profiler_(profiling_enabled()
-                    ? (profiler != nullptr ? profiler
-                                           : &Profiler::default_profiler())
-                    : nullptr) {
+    : profiler_(active_profiler(profiler)) {
   if (profiler_ == nullptr || path.empty()) {
     profiler_ = nullptr;
     return;

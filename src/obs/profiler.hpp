@@ -1,11 +1,12 @@
-// Hierarchical phase profiler: a call tree of named scopes on top of the
-// flat ScopedTimer histograms.
+// Hierarchical phase profiler: a call tree of named scopes, optionally
+// mirrored into flat registry histograms.
 //
 // ProfileScope pushes a frame onto the calling thread's tree (creating the
 // node on first entry) and records inclusive nanoseconds on exit; nesting
 // scopes builds the phase hierarchy, and snapshot() merges every thread's
 // tree into one deterministic PhaseNode tree (children sorted by name,
-// per-phase calls summed across threads).
+// per-phase calls summed across threads). A scope given a Histogram also
+// observes its wall time, in microseconds, from the same two clock reads.
 //
 // Determinism across util::ThreadPool fan-out is the hard part: a pool
 // worker has none of the submitting thread's frames open, so the same
@@ -21,7 +22,8 @@
 // comparisons.
 //
 // Scopes honor the process-global set_profiling switch: a scope built
-// while profiling is disabled takes no clock samples and touches no tree.
+// while profiling is disabled takes no clock samples, touches no tree and
+// observes no histogram.
 // The clock is injectable (set_clock) so tests can prove that. reset() and
 // snapshot() require quiescence -- call them only when no scopes are open
 // on other threads (benches snapshot after the pool has joined).
@@ -35,9 +37,13 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/timer.hpp"
+#include "obs/metrics.hpp"
 
 namespace rac::obs {
+
+/// Whether ProfileScope takes clock samples. Default: enabled.
+void set_profiling(bool enabled) noexcept;
+bool profiling_enabled() noexcept;
 
 /// One phase in a merged snapshot. `inclusive_us` is the summed wall time
 /// of the phase across all threads (a phase fanned out to N workers can
@@ -125,18 +131,23 @@ class Profiler {
 };
 
 /// RAII frame in the profiler's call tree. `name` must outlive the scope
-/// (string literals in practice). A scope constructed while
-/// profiling_enabled() is false is a complete no-op: no clock reads, no
-/// tree access.
+/// (string literals in practice). A non-null `histogram` additionally
+/// receives the scope's wall time in microseconds. A scope constructed
+/// while profiling_enabled() is false is a complete no-op: no clock reads,
+/// no tree access, no observation.
 class ProfileScope {
  public:
-  explicit ProfileScope(const char* name, Profiler* profiler = nullptr);
+  explicit ProfileScope(const char* name, Profiler* profiler = nullptr)
+      : ProfileScope(name, nullptr, profiler) {}
+  ProfileScope(const char* name, Histogram* histogram,
+               Profiler* profiler = nullptr);
   ~ProfileScope();
   ProfileScope(const ProfileScope&) = delete;
   ProfileScope& operator=(const ProfileScope&) = delete;
 
  private:
   Profiler* profiler_;
+  Histogram* histogram_;
   Profiler::Node* node_ = nullptr;
   std::uint64_t start_ns_ = 0;
   std::uint64_t epoch_ = 0;

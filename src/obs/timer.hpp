@@ -1,48 +1,7 @@
-// Scoped profiling timers recording into registry histograms.
-//
-// A ScopedTimer takes two steady_clock samples per scope -- cheap against
-// the paths it wraps (an MVA solve, a TD retrain, a DES interval) but not
-// free, so a process-global switch (`set_profiling`) turns the clock reads
-// off entirely; a disabled or null-histogram timer does no work.
+// The profiling switch (set_profiling / profiling_enabled) lives with the
+// profiler and latency_us_bounds() with the metrics registry; this header
+// keeps existing includers compiling.
 #pragma once
 
-#include <chrono>
-
 #include "obs/metrics.hpp"
-
-namespace rac::obs {
-
-/// Whether ScopedTimer takes clock samples. Default: enabled.
-void set_profiling(bool enabled) noexcept;
-bool profiling_enabled() noexcept;
-
-/// Records the scope's wall time, in microseconds, into `histogram` on
-/// destruction. A nullptr histogram (or profiling disabled at
-/// construction) makes the timer a no-op.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Histogram* histogram) noexcept
-      : histogram_(profiling_enabled() ? histogram : nullptr) {
-    if (histogram_ != nullptr) start_ = std::chrono::steady_clock::now();
-  }
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
-  ~ScopedTimer() {
-    if (histogram_ == nullptr) return;
-    const auto elapsed = std::chrono::steady_clock::now() - start_;
-    histogram_->observe(
-        std::chrono::duration<double, std::micro>(elapsed).count());
-  }
-
- private:
-  Histogram* histogram_;
-  std::chrono::steady_clock::time_point start_{};
-};
-
-/// Shared bucket layout for microsecond-scale latency histograms:
-/// 1us .. ~8.6s in powers of 2.
-std::vector<double> latency_us_bounds();
-
-}  // namespace rac::obs
+#include "obs/profiler.hpp"

@@ -57,6 +57,21 @@ ClosedNetwork::ClosedNetwork(double think_time) : think_time_(think_time) {
   }
 }
 
+const ClosedNetwork::Metrics& ClosedNetwork::metrics() const {
+  if (metrics_.solves != nullptr) return metrics_;
+  obs::Registry& reg = obs::registry_or_default(registry_);
+  metrics_.solves = &reg.counter("queueing.mva.solves");
+  metrics_.throughput_curves = &reg.counter("queueing.mva.throughput_curves");
+  metrics_.recursion_steps = &reg.counter("queueing.mva.recursion_steps");
+  metrics_.cache_hits = &reg.counter("queueing.mva.cache_hits");
+  metrics_.station_steps.clear();
+  for (const Station& station : stations_) {
+    metrics_.station_steps.push_back(
+        &reg.counter("queueing.mva.station_steps." + station.name));
+  }
+  return metrics_;
+}
+
 void ClosedNetwork::set_think_time(double think_time) {
   if (think_time < 0.0) {
     throw std::invalid_argument("ClosedNetwork: negative think time");
@@ -74,6 +89,7 @@ std::size_t ClosedNetwork::add_station(Station station) {
     throw std::invalid_argument("ClosedNetwork: non-positive visit ratio");
   }
   stations_.push_back(std::move(station));
+  metrics_.solves = nullptr;
   invalidate();
   return stations_.size() - 1;
 }
@@ -249,6 +265,18 @@ std::uint64_t ClosedNetwork::extend(int population) const {
   return to * (to + 1) - from * (from + 1);
 }
 
+void ClosedNetwork::extend_counted(int population) const {
+  const Metrics& m = metrics();
+  if (population <= cache_.solved) {
+    m.cache_hits->add(1);
+    return;
+  }
+  const std::uint64_t per_station = extend(population);
+  m.recursion_steps->add(per_station *
+                         static_cast<std::uint64_t>(stations_.size()));
+  for (obs::Counter* steps : m.station_steps) steps->add(per_station);
+}
+
 MvaResult ClosedNetwork::solve(int population) const {
   if (population < 0) {
     throw std::invalid_argument("ClosedNetwork::solve: negative population");
@@ -262,8 +290,7 @@ MvaResult ClosedNetwork::solve(int population) const {
   // *executed* recursion steps (a resumed or fully cached solve reruns
   // nothing) so perf work can cross-check the profiler against real work.
   const obs::ProfileScope profile("mva.solve");
-  obs::Registry& reg = obs::registry_or_default(registry_);
-  reg.counter("queueing.mva.solves").add(1);
+  metrics().solves->add(1);
 
   const std::size_t num_s = stations_.size();
   MvaResult result;
@@ -275,17 +302,7 @@ MvaResult ClosedNetwork::solve(int population) const {
   }
 
   if (population > 0) {
-    if (population > cache_.solved) {
-      const std::uint64_t per_station = extend(population);
-      reg.counter("queueing.mva.recursion_steps")
-          .add(per_station * static_cast<std::uint64_t>(num_s));
-      for (std::size_t s = 0; s < num_s; ++s) {
-        reg.counter("queueing.mva.station_steps." + stations_[s].name)
-            .add(per_station);
-      }
-    } else {
-      reg.counter("queueing.mva.cache_hits").add(1);
-    }
+    extend_counted(population);
     const std::size_t at = static_cast<std::size_t>(population) - 1;
     result.throughput = cache_.throughput[at];
     result.response_time = cache_.response[at];
@@ -324,20 +341,8 @@ std::vector<double> ClosedNetwork::throughput_curve(int max_population) const {
     throw std::invalid_argument("throughput_curve: no stations");
   }
   const obs::ProfileScope profile("mva.throughput_curve");
-  obs::Registry& reg = obs::registry_or_default(registry_);
-  reg.counter("queueing.mva.throughput_curves").add(1);
-  const std::size_t num_s = stations_.size();
-  if (max_population > cache_.solved) {
-    const std::uint64_t per_station = extend(max_population);
-    reg.counter("queueing.mva.recursion_steps")
-        .add(per_station * static_cast<std::uint64_t>(num_s));
-    for (std::size_t s = 0; s < num_s; ++s) {
-      reg.counter("queueing.mva.station_steps." + stations_[s].name)
-          .add(per_station);
-    }
-  } else {
-    reg.counter("queueing.mva.cache_hits").add(1);
-  }
+  metrics().throughput_curves->add(1);
+  extend_counted(max_population);
   std::vector<double> curve(
       cache_.throughput.begin(),
       cache_.throughput.begin() + static_cast<std::size_t>(max_population));

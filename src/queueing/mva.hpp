@@ -26,6 +26,7 @@
 #include <vector>
 
 namespace rac::obs {
+class Counter;
 class Registry;
 }
 
@@ -120,9 +121,11 @@ class ClosedNetwork {
   int solved_population() const noexcept { return cache_.solved; }
 
   /// Route this network's solve/step counters to `registry` (nullptr means
-  /// the process default). Handles are resolved per solve, so the setting
-  /// takes effect immediately.
-  void set_registry(obs::Registry* registry) noexcept { registry_ = registry; }
+  /// the process default). Takes effect from the next solve.
+  void set_registry(obs::Registry* registry) noexcept {
+    registry_ = registry;
+    metrics_.solves = nullptr;
+  }
 
  private:
   // Recursion state, resumable at population `solved`. Per station the
@@ -150,15 +153,30 @@ class ClosedNetwork {
     std::vector<double> residence_scratch;
   };
 
+  // Counter handles, resolved by metrics() on the first solve after the
+  // registry or the station list changes, so a solve does no name lookups.
+  struct Metrics {
+    obs::Counter* solves = nullptr;
+    obs::Counter* throughput_curves = nullptr;
+    obs::Counter* recursion_steps = nullptr;
+    obs::Counter* cache_hits = nullptr;
+    std::vector<obs::Counter*> station_steps;  // parallel to stations_
+  };
+
   void invalidate() noexcept { cache_ = Cache{}; }
   /// Grow per-station tables to cover `population` and run the recursion
   /// for populations (cache_.solved, population]. Returns executed inner
   /// steps per station (0 when fully cached).
   std::uint64_t extend(int population) const;
+  /// extend() plus its telemetry: the executed recursion steps, or one
+  /// cache hit when `population` is already solved.
+  void extend_counted(int population) const;
+  const Metrics& metrics() const;
 
   double think_time_;
   std::vector<Station> stations_;
   obs::Registry* registry_ = nullptr;
+  mutable Metrics metrics_;
   mutable Cache cache_;
 };
 

@@ -68,7 +68,7 @@ QTable load_qtable(std::istream& is) {
   util::expect_token(is, "states", "load_qtable");
   const std::uint64_t count =
       util::parse_u64(util::read_token(is, "load_qtable"), "load_qtable");
-  std::unordered_set<config::Configuration,  // rac-lint: allow(hot-path-alloc) load-time duplicate check, not in the training loop
+  std::unordered_set<config::Configuration,  // rac-analyze: allow(hot-path-alloc) load-time duplicate check, not in the training loop
                      config::ConfigurationHash>
       seen;
   seen.reserve(count);

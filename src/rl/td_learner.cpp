@@ -9,7 +9,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
-#include "obs/timer.hpp"
 #include "rl/policy.hpp"
 #include "util/contracts.hpp"
 
@@ -36,7 +35,6 @@ TdResult batch_train(QTable& table,
     result.converged = true;
     return result;
   }
-  const obs::ProfileScope profile("rl.batch_train");
 
   // The reward model is a pure function of the state for the duration of
   // one batch; memoize it per table row (full backups revisit states
@@ -72,7 +70,7 @@ TdResult batch_train(QTable& table,
   obs::Gauge& g_error = reg.gauge("rl.td.last_error");
   obs::Histogram& h_train =
       reg.histogram("rl.td.batch_train_us", obs::latency_us_bounds());
-  const obs::ScopedTimer timer(&h_train);
+  const obs::ProfileScope profile("rl.batch_train", &h_train);
   std::uint64_t backups = 0;
 
   // Neighbor map: row index of apply(s, a) for every action of every

@@ -63,10 +63,16 @@ void PsResource::on_completion_timer() {
   completion_event_ = EventHandle{};
   advance();
   // Collect everything that is (numerically) done, in submission order;
-  // the survivors keep their relative order (remove_if is stable).
+  // the survivors keep their relative order (remove_if is stable). Done
+  // includes a remainder too small to advance the clock: past 2^14 s half
+  // an ulp of `now` exceeds kTimeEps, and rescheduling would never progress.
+  const double now = queue_.now();
   std::vector<EventFn> done;
   const auto it = std::remove_if(jobs_.begin(), jobs_.end(), [&](Job& job) {
-    if (job.remaining > kTimeEps) return false;
+    if (job.remaining > kTimeEps &&
+        now + job.remaining / current_rate_ > now) {
+      return false;
+    }
     done.push_back(std::move(job.on_complete));
     return true;
   });

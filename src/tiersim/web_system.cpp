@@ -7,7 +7,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
-#include "obs/timer.hpp"
 #include "util/contracts.hpp"
 #include "workload/dynamic.hpp"
 
@@ -73,7 +72,13 @@ struct ThreeTierSystem::Impl {
   VmSpec web_vm;
   VmSpec app_vm;
   int num_clients;
-  obs::Registry* registry;  // nullptr -> process default, resolved per use
+  // Telemetry handles, resolved once against the injected registry.
+  obs::Registry& registry;
+  obs::Counter& c_intervals;
+  obs::Counter& c_completed;
+  obs::Counter& c_forks;
+  obs::Counter& c_ps_jobs;
+  obs::Histogram& h_interval;
 
   // ---- live configuration --------------------------------------------------
   Configuration cfg;
@@ -134,7 +139,7 @@ struct ThreeTierSystem::Impl {
       return req;
     }
     request_arena.push_back(
-        std::make_unique<Request>());  // rac-lint: allow(hot-path-alloc) arena growth, amortized by the free list
+        std::make_unique<Request>());  // rac-analyze: allow(hot-path-alloc) arena growth, amortized by the free list
     return request_arena.back().get();
   }
 
@@ -180,7 +185,13 @@ struct ThreeTierSystem::Impl {
         web_vm(setup.web_vm),
         app_vm(setup.app_vm),
         num_clients(setup.num_clients),
-        registry(setup.registry),
+        registry(obs::registry_or_default(setup.registry)),
+        c_intervals(registry.counter("tiersim.measurement_intervals")),
+        c_completed(registry.counter("tiersim.completed_requests")),
+        c_forks(registry.counter("tiersim.forks")),
+        c_ps_jobs(registry.counter("tiersim.ps_jobs_submitted")),
+        h_interval(registry.histogram("tiersim.interval_us",
+                                      obs::latency_us_bounds())),
         cfg(setup.configuration),
         rng(setup.seed),
         web_cpu(q, setup.web_vm.vcpus,
@@ -566,7 +577,7 @@ struct ThreeTierSystem::Impl {
 
 ThreeTierSystem::ThreeTierSystem(const SystemParams& params,
                                  const SimSetup& setup)
-    : impl_(std::make_unique<Impl>(  // rac-lint: allow(hot-path-alloc) one-time pimpl construction
+    : impl_(std::make_unique<Impl>(  // rac-analyze: allow(hot-path-alloc) one-time pimpl construction
           params, setup)) {}
 
 ThreeTierSystem::~ThreeTierSystem() = default;
@@ -575,19 +586,7 @@ Measurement ThreeTierSystem::run(double warmup_s, double measure_s) {
   if (warmup_s < 0.0 || measure_s <= 0.0) {
     throw std::invalid_argument("ThreeTierSystem::run: bad window");
   }
-  // Handles are resolved per interval against the injected registry (an
-  // interval simulates seconds of virtual time; the name lookup is noise).
-  // Function-local statics here were the PR 2 metrics-routing bug class:
-  // they pin the counters to whichever registry the first caller used.
-  obs::Registry& registry = obs::registry_or_default(impl_->registry);
-  obs::Counter& c_intervals = registry.counter("tiersim.measurement_intervals");
-  obs::Counter& c_completed = registry.counter("tiersim.completed_requests");
-  obs::Counter& c_forks = registry.counter("tiersim.forks");
-  obs::Counter& c_ps_jobs = registry.counter("tiersim.ps_jobs_submitted");
-  obs::Histogram& h_interval =
-      registry.histogram("tiersim.interval_us", obs::latency_us_bounds());
-  const obs::ScopedTimer timer(&h_interval);
-  const obs::ProfileScope profile("tiersim.interval");
+  const obs::ProfileScope profile("tiersim.interval", &impl_->h_interval);
 
   const std::uint64_t ps_jobs_before =
       impl_->web_cpu.jobs_submitted() + impl_->app_cpu.jobs_submitted();
@@ -598,11 +597,11 @@ Measurement ThreeTierSystem::run(double warmup_s, double measure_s) {
   impl_->q.run_until(impl_->q.now() + measure_s);
   impl_->measuring = false;
   Measurement measurement = impl_->collect(measure_s);
-  c_intervals.add(1);
-  c_completed.add(measurement.completed);
-  c_forks.add(measurement.forks);
-  c_ps_jobs.add(impl_->web_cpu.jobs_submitted() +
-                impl_->app_cpu.jobs_submitted() - ps_jobs_before);
+  impl_->c_intervals.add(1);
+  impl_->c_completed.add(measurement.completed);
+  impl_->c_forks.add(measurement.forks);
+  impl_->c_ps_jobs.add(impl_->web_cpu.jobs_submitted() +
+                       impl_->app_cpu.jobs_submitted() - ps_jobs_before);
   return measurement;
 }
 

@@ -5,7 +5,7 @@
 // host, under any process locale. printf "%a" / std::stod / stream
 // numeric inserters all honor the locale (LC_NUMERIC decimal point, num_get
 // thousands grouping), so a file written under de_DE is corrupt under "C"
-// and vice versa (the PR-4 serialization bug class; rac-lint rule
+// and vice versa (the locale serialization bug class; rac-analyze rule
 // `locale-io`). These helpers route every number through
 // std::to_chars/std::from_chars, which are locale-independent by
 // specification; callers write the returned tokens as plain strings and

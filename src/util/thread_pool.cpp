@@ -16,7 +16,7 @@ thread_local bool t_on_pool_worker = false;
 // (which obs wires into its registry), and util cannot depend on obs.
 double elapsed_us(std::chrono::steady_clock::time_point start) {
   const auto end =
-      std::chrono::steady_clock::now();  // rac-lint: allow(untracked-timer)
+      std::chrono::steady_clock::now();  // rac-analyze: allow(untracked-timer)
   return std::chrono::duration<double, std::micro>(end - start).count();
 }
 
@@ -86,7 +86,7 @@ void ThreadPool::worker_loop() {
 
 void ThreadPool::run_task(Region& region, std::size_t index) {
   const auto start =
-      std::chrono::steady_clock::now();  // rac-lint: allow(untracked-timer)
+      std::chrono::steady_clock::now();  // rac-analyze: allow(untracked-timer)
   try {
     (*region.body)(index);
   } catch (...) {
@@ -106,7 +106,7 @@ void ThreadPool::run_inline(std::size_t n,
   std::vector<std::exception_ptr> errors(n);
   for (std::size_t i = 0; i < n; ++i) {
     const auto start =
-        std::chrono::steady_clock::now();  // rac-lint: allow(untracked-timer)
+        std::chrono::steady_clock::now();  // rac-analyze: allow(untracked-timer)
     try {
       body(i);
     } catch (...) {

@@ -15,7 +15,6 @@
 #include "core/rac_agent.hpp"
 #include "core/runner.hpp"
 #include "env/analytic_env.hpp"
-#include "obs/timer.hpp"
 #include "obs/trace.hpp"
 #include "util/thread_pool.hpp"
 
@@ -106,6 +105,34 @@ TEST_F(ProfilerTest, DisabledProfilingTakesNoClockReadsAndTouchesNoTree) {
   const PhaseNode root = profiler_.snapshot();
   EXPECT_NE(root.child("after"), nullptr);
   EXPECT_GT(g_clock_reads.load(), 0u);
+}
+
+TEST_F(ProfilerTest, HistogramScopeFeedsTreeAndHistogramFromOneClockPair) {
+  Registry registry;
+  Histogram& histogram =
+      registry.histogram("phase_us", latency_us_bounds());
+  g_clock_reads.store(0);
+  {
+    ProfileScope scope("phase", &histogram, &profiler_);
+    advance_us(7);
+  }
+  EXPECT_EQ(g_clock_reads.load(), 2u);
+  EXPECT_EQ(histogram.count(), 1u);
+  EXPECT_DOUBLE_EQ(histogram.sum(), 7.0);
+  const PhaseNode root = profiler_.snapshot();
+  const PhaseNode* phase = root.child("phase");
+  ASSERT_NE(phase, nullptr);
+  EXPECT_EQ(phase->calls, 1u);
+  EXPECT_DOUBLE_EQ(phase->inclusive_us, 7.0);
+
+  // Profiling off: no observation, no call.
+  set_profiling(false);
+  {
+    ProfileScope scope("phase", &histogram, &profiler_);
+    advance_us(7);
+  }
+  EXPECT_EQ(histogram.count(), 1u);
+  EXPECT_EQ(profiler_.snapshot().child("phase")->calls, 1u);
 }
 
 TEST_F(ProfilerTest, ChildrenMergeSortedByName) {

@@ -18,7 +18,6 @@
 #include "core/runner.hpp"
 #include "env/analytic_env.hpp"
 #include "obs/profiler.hpp"
-#include "obs/timer.hpp"
 #include "util/thread_pool.hpp"
 
 namespace rac::core {

@@ -126,6 +126,24 @@ TEST(PsResource, ZeroDemandJobStillCompletesAsynchronously) {
   EXPECT_TRUE(done);
 }
 
+TEST(PsResource, SubUlpRemainderCompletesPastTwoToTheFourteenSeconds) {
+  // Past 2^14 s half an ulp of the clock exceeds the 1e-12 completion
+  // epsilon: a remainder of 1.7e-12 at rate 1/1.05 is 1.785e-12 of virtual
+  // time, which `now + delay` rounds back to `now`. The completion timer
+  // must finish the job instead of rescheduling itself at `now` forever;
+  // the step cap turns a regression into a failure rather than a hang.
+  EventQueue q;
+  q.run_until(20000.0);
+  PsResource cpu(q, 1, [](int) { return 1.05; });
+  bool done = false;
+  cpu.submit(1.7e-12, [&] { done = true; });
+  for (int steps = 0; steps < 1000 && !done && q.step(); ++steps) {
+  }
+  EXPECT_TRUE(done);
+  EXPECT_EQ(cpu.active_jobs(), 0);
+  EXPECT_EQ(q.now(), 20000.0);
+}
+
 TEST(PsResource, RejectsInvalidArguments) {
   EventQueue q;
   EXPECT_THROW(PsResource(q, 0), std::invalid_argument);

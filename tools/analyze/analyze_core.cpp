@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <optional>
+#include <regex>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -15,11 +17,6 @@ namespace {
 
 using srcscan::TokKind;
 using srcscan::Token;
-
-bool path_starts_with(std::string_view path, std::string_view prefix) {
-  return path.size() >= prefix.size() &&
-         path.substr(0, prefix.size()) == prefix;
-}
 
 bool is_punct(const Token& t, std::string_view text) {
   return t.kind == TokKind::kPunct && t.text == text;
@@ -121,20 +118,74 @@ int function_name_for_brace(const std::vector<Token>& toks, std::size_t at) {
 }
 
 // ---------------------------------------------------------------------------
+// Clock and randomness sources. One list feeds both the direct-read rules
+// (wall-clock, rand) and the seeds of clock/rand reachability, so a source
+// the one knows the other cannot miss.
+// ---------------------------------------------------------------------------
+
+struct TaintSite {
+  std::string kind;  // "clock" or "rand"
+  std::string what;  // the offending token
+  int line = 0;
+};
+
+/// The wall-clock read or ambient randomness at token `at`, if any.
+std::optional<TaintSite> source_read(const std::vector<Token>& toks,
+                                     std::size_t at) {
+  static const std::set<std::string> kClockIdents = {
+      "system_clock", "gettimeofday", "clock_gettime", "localtime",
+      "localtime_r",  "gmtime",       "gmtime_r",      "timespec_get"};
+  static const std::set<std::string> kRandIdents = {"srand",
+                                                    "random_device"};
+  const Token& t = toks[at];
+  if (t.kind != TokKind::kIdent) return std::nullopt;
+  if (kClockIdents.count(t.text)) return TaintSite{"clock", t.text, t.line};
+  if (kRandIdents.count(t.text)) return TaintSite{"rand", t.text, t.line};
+  // rand() and time(nullptr) are common words: they count when called
+  // unqualified or std::-qualified, never as members or in other namespaces.
+  const std::string_view prev = at > 0 && toks[at - 1].kind == TokKind::kPunct
+                                    ? std::string_view(toks[at - 1].text)
+                                    : std::string_view();
+  const bool std_qualified =
+      prev == "::" && at > 1 && is_ident(toks[at - 2], "std");
+  if (prev == "." || prev == "->" || (prev == "::" && !std_qualified)) {
+    return std::nullopt;
+  }
+  const bool called = at + 1 < toks.size() && is_punct(toks[at + 1], "(");
+  if (t.text == "rand" && (called || std_qualified)) {
+    return TaintSite{"rand", "rand()", t.line};
+  }
+  if (t.text == "time" && called && at + 2 < toks.size()) {
+    const Token& arg = toks[at + 2];
+    if (is_ident(arg, "nullptr") || is_ident(arg, "NULL") ||
+        (arg.kind == TokKind::kNumber && arg.text == "0")) {
+      return TaintSite{"clock", "time(nullptr)", t.line};
+    }
+  }
+  return std::nullopt;
+}
+
+/// The reproducible subsystems: everything there must replay bit for bit
+/// from its inputs, so wall-clock reads are banned and reachability call
+/// sites are reported.
+bool reproducible_file(std::string_view relpath) {
+  return relpath.starts_with("src/core/") ||
+         relpath.starts_with("src/rl/") ||
+         relpath.starts_with("src/env/") ||
+         relpath.starts_with("src/tiersim/") ||
+         relpath.starts_with("src/queueing/");
+}
+
+// ---------------------------------------------------------------------------
 // Per-file scope-aware pass: container declarations, range-for bodies,
-// parallel lambda captures, function definitions/calls/taints.
+// parallel lambda captures, direct clock/rand reads, function
+// definitions/calls/taints.
 // ---------------------------------------------------------------------------
 
 enum class VarKind { kUnordered, kOrderedAssoc };
 
 struct CallSite {
   std::string callee;
-  int line = 0;
-};
-
-struct TaintSite {
-  std::string kind;  // "clock" or "rand"
-  std::string what;  // the offending token
   int line = 0;
 };
 
@@ -147,7 +198,7 @@ struct FuncRec {
 };
 
 struct FileAnalysis {
-  std::vector<Finding> findings;   // unordered-iter / parallel-ref-capture
+  std::vector<Finding> findings;   // token rules of this file
   std::vector<FuncRec> functions;  // for cross-file reachability
 };
 
@@ -188,8 +239,8 @@ class FileAnalyzer {
   FileAnalysis run() {
     scopes_.emplace_back();
     prescan_container_decls();
-    const bool check_unordered = path_starts_with(file_, "src/") ||
-                                 path_starts_with(file_, "bench/");
+    const bool check_unordered = file_.starts_with("src/") ||
+                                 file_.starts_with("bench/");
     for (std::size_t i = 0; i < toks_.size(); ++i) {
       const Token& t = toks_[i];
       if (is_punct(t, "{")) {
@@ -691,40 +742,39 @@ class FileAnalyzer {
   // --- function defs / calls / taints for reachability --------------------
 
   void record_call_or_taint(std::size_t at) {
+    const Token& t = toks_[at];
+    const std::optional<TaintSite> read = source_read(toks_, at);
+    if (read.has_value()) report_direct_read(*read);
     FuncRec* fn = current_fn();
     if (fn == nullptr) return;
-    const Token& t = toks_[at];
-    const bool called_like =
-        at + 1 < toks_.size() && is_punct(toks_[at + 1], "(");
-
-    static const std::set<std::string> kClockIdents = {
-        "system_clock", "gettimeofday", "clock_gettime", "localtime",
-        "localtime_r",  "gmtime",       "gmtime_r",      "timespec_get"};
-    static const std::set<std::string> kRandIdents = {"srand",
-                                                      "random_device"};
-    if (kClockIdents.count(t.text)) {
-      fn->taints.push_back({"clock", t.text, t.line});
+    if (read.has_value()) {
+      fn->taints.push_back(*read);
       return;
     }
-    if (kRandIdents.count(t.text)) {
-      fn->taints.push_back({"rand", t.text, t.line});
-      return;
-    }
-    if (called_like && t.text == "rand") {
-      fn->taints.push_back({"rand", "rand()", t.line});
-      return;
-    }
-    if (called_like && t.text == "time" && at + 2 < toks_.size()) {
-      const Token& arg = toks_[at + 2];
-      if (is_ident(arg, "nullptr") || is_ident(arg, "NULL") ||
-          (arg.kind == TokKind::kNumber && arg.text == "0")) {
-        fn->taints.push_back({"clock", "time(nullptr)", t.line});
-        return;
-      }
-    }
-    if (called_like && !call_keywords().count(t.text)) {
+    if (at + 1 < toks_.size() && is_punct(toks_[at + 1], "(") &&
+        !call_keywords().count(t.text)) {
       fn->calls.push_back({t.text, t.line});
     }
+  }
+
+  // --- rules: wall-clock / rand (direct reads) -----------------------------
+
+  void report_direct_read(const TaintSite& read) {
+    if (read.kind == "clock") {
+      if (!reproducible_file(file_)) return;
+      out_.findings.push_back(
+          {file_, read.line, "wall-clock",
+           "wall-clock read (" + read.what +
+               ") in a reproducible subsystem; time must come from the "
+               "simulation clock or the caller"});
+      return;
+    }
+    if (file_.starts_with("src/util/rng.")) return;
+    out_.findings.push_back(
+        {file_, read.line, "rand",
+         "nondeterministic randomness (" + read.what +
+             "); use the seeded util::Rng (util::derive_seed for per-task "
+             "streams)"});
   }
 
   const std::string& file_;
@@ -743,23 +793,15 @@ class FileAnalyzer {
 /// Files whose direct clock/rand reads are design-sanctioned and must not
 /// seed taint: instrumentation, the log timestamp, and the seeded RNG.
 bool taint_exempt_file(std::string_view relpath) {
-  return path_starts_with(relpath, "src/obs/") ||
-         path_starts_with(relpath, "src/util/log.") ||
-         path_starts_with(relpath, "src/util/rng.");
+  return relpath.starts_with("src/obs/") ||
+         relpath.starts_with("src/util/log.") ||
+         relpath.starts_with("src/util/rng.");
 }
 
 /// Taint may originate and propagate anywhere in src/ (wrappers live in
 /// util); call sites are only *reported* in the reproducible subsystems.
 bool taint_source_file(std::string_view relpath) {
-  return path_starts_with(relpath, "src/") && !taint_exempt_file(relpath);
-}
-
-bool reproducible_file(std::string_view relpath) {
-  return path_starts_with(relpath, "src/core/") ||
-         path_starts_with(relpath, "src/rl/") ||
-         path_starts_with(relpath, "src/env/") ||
-         path_starts_with(relpath, "src/tiersim/") ||
-         path_starts_with(relpath, "src/queueing/");
+  return relpath.starts_with("src/") && !taint_exempt_file(relpath);
 }
 
 struct TaintWitness {
@@ -831,6 +873,134 @@ std::vector<Finding> reachability_findings(
   return findings;
 }
 
+// ---------------------------------------------------------------------------
+// Per-line convention rules: lexical invariants a regex over each stripped
+// (or, for string-literal contents, raw) line recognizes by construction.
+// ---------------------------------------------------------------------------
+
+struct LineRule {
+  std::string_view id;
+  std::regex pattern;
+  std::string_view message;
+  std::vector<std::string_view> only_under;    // empty: applies everywhere
+  std::vector<std::string_view> except_under;  // exempt path prefixes
+  /// Match the raw line, for string-literal contents (an #include path, a
+  /// printf format); such patterns must be anchored not to fire in comments.
+  bool match_raw = false;
+};
+
+const std::vector<LineRule>& line_rules() {
+  static const std::string float_lit =
+      R"((\d+\.\d*|\.\d+)([eE][+-]?\d+)?[fFlL]?)";
+  // default-registry and iostream are scoped to src/: a CLI binary
+  // (tools/bench/examples) owns the process and its stdout.
+  static const std::vector<LineRule> rules = {
+      {"default-registry", std::regex(R"(\bdefault_registry\b)"),
+       "default_registry() referenced outside src/obs/; take an "
+       "obs::Registry* and resolve via obs::registry_or_default",
+       {"src/"}, {"src/obs/"}},
+      {"raw-assert",
+       std::regex(R"((^|[^\w])assert\s*\(|#\s*include\s*<cassert>)"),
+       "raw assert in library code (vanishes under NDEBUG); use "
+       "RAC_EXPECT/RAC_ENSURE/RAC_INVARIANT from util/contracts.hpp",
+       {}, {}},
+      {"iostream", std::regex(R"(\bstd\s*::\s*(cout|cerr|clog)\b)"),
+       "direct console I/O in library code; report via return values, "
+       "exceptions, or util::log",
+       {"src/"}, {"src/util/log.cpp"}},
+      {"include-hygiene", std::regex(R"(^\s*#\s*include\s*"[^"]*\.\./)"),
+       "path-traversing include; project includes are rooted at src/",
+       {}, {}, /*match_raw=*/true},
+      {"locale-io",
+       std::regex(
+           R"(\bstd\s*::\s*(stod|stof|stold)\b|\b(strtod|strtof|strtold|atof)\s*\(|\bsetlocale\s*\()"),
+       "locale-sensitive numeric parsing (result depends on the process "
+       "locale); use util/lineio parse_double/std::from_chars",
+       {}, {}},
+      // Same id, second pattern: a float conversion in a printf/scanf
+      // format string, which the stripper blanks.
+      {"locale-io",
+       std::regex(
+           R"(\b((f|s|sn|v|vf|vs|vsn)?printf|(f|s|v|vf|vs)?scanf)\s*\(.*"[^"]*%[-+ #'0-9.*]*(l|L)?[aAeEfFgG])"),
+       "locale-sensitive printf/scanf float conversion (output depends on "
+       "the process locale); use util/lineio format_double/std::to_chars",
+       {}, {}, /*match_raw=*/true},
+      {"unchecked-measure", std::regex(R"((\.|->)\s*measure\s*\()"),
+       "direct Environment::measure() in the online management loop; "
+       "use try_measure() so a lost interval degrades gracefully, or "
+       "justify an offline/bootstrap probe with a suppression",
+       {"src/core/"}, {}},
+      {"untracked-timer",
+       std::regex(R"(\b(steady_clock|high_resolution_clock)\s*::\s*now\s*\()"),
+       "raw clock read in library code; time phases with obs::ProfileScope "
+       "(given a Histogram it also records the latency distribution) so "
+       "the work shows up in bench reports, or justify with a suppression",
+       {"src/"}, {"src/obs/"}},
+      {"hot-path-alloc",
+       std::regex(
+           R"(\bnew\b|\bmake_unique\s*<|\bmake_shared\s*<|\bunordered_(map|set)\s*<|\bstd\s*::\s*(map|set|list|multimap|multiset)\s*<)"),
+       "per-element heap allocation in a hot-path subsystem (operator "
+       "new, make_unique/make_shared, or a node-based container); use "
+       "flat/arena storage, or justify a cold-path site with a "
+       "suppression",
+       {"src/queueing/", "src/tiersim/", "src/rl/"}, {}},
+      {"float-eq",
+       std::regex(R"((==|!=)\s*[-+]?)" + float_lit + "|" + float_lit +
+                  R"(\s*(==|!=))"),
+       "exact floating-point comparison against a literal; compare with a "
+       "tolerance or justify with a suppression",
+       {}, {}},
+  };
+  return rules;
+}
+
+/// Appends the findings of the line rules that apply under the file's
+/// path, plus pragma-once.
+void line_findings(const SourceFile& file, const srcscan::ScanResult& scanned,
+                   std::vector<Finding>& findings) {
+  const auto under = [&](const std::vector<std::string_view>& prefixes) {
+    return std::any_of(prefixes.begin(), prefixes.end(),
+                       [&](std::string_view p) {
+                         return file.relpath.starts_with(p);
+                       });
+  };
+  std::vector<const LineRule*> active;
+  for (const LineRule& rule : line_rules()) {
+    if ((rule.only_under.empty() || under(rule.only_under)) &&
+        !under(rule.except_under)) {
+      active.push_back(&rule);
+    }
+  }
+  std::istringstream in(file.contents);
+  std::string raw;
+  int line_no = 0;
+  int first_code_line = 0;  // first non-blank, non-comment line
+  bool saw_pragma_once = false;
+  while (std::getline(in, raw)) {
+    const std::string& code = scanned.lines[line_no++].code;
+    if (first_code_line == 0 &&
+        code.find_first_not_of(" \t\r") != std::string::npos) {
+      first_code_line = line_no;
+      saw_pragma_once = code.find("#pragma once") != std::string::npos;
+    }
+    for (const LineRule* rule : active) {
+      const std::string& target = rule->match_raw ? raw : code;
+      for (auto it = std::sregex_iterator(target.begin(), target.end(),
+                                          rule->pattern);
+           it != std::sregex_iterator(); ++it) {
+        findings.push_back({file.relpath, line_no, std::string(rule->id),
+                            std::string(rule->message)});
+      }
+    }
+  }
+  if ((file.relpath.ends_with(".hpp") || file.relpath.ends_with(".h")) &&
+      !saw_pragma_once) {
+    findings.push_back({file.relpath, std::max(first_code_line, 1),
+                        "pragma-once",
+                        "header does not open with #pragma once"});
+  }
+}
+
 void append_json_escaped(std::string& out, std::string_view s) {
   for (const char c : s) {
     switch (c) {
@@ -854,6 +1024,18 @@ void append_json_escaped(std::string& out, std::string_view s) {
 
 const std::vector<RuleInfo>& rules() {
   static const std::vector<RuleInfo> info = {
+      {"rand", "randomness outside util::Rng (determinism)"},
+      {"wall-clock", "wall-clock reads in simulated subsystems"},
+      {"default-registry", "default_registry() pinned outside src/obs/"},
+      {"raw-assert", "assert() in library code; use contract macros"},
+      {"iostream", "std::cout/cerr/clog in library code; use util::log"},
+      {"pragma-once", "headers must open with #pragma once"},
+      {"include-hygiene", "no path-traversing quoted includes"},
+      {"locale-io", "locale-sensitive numeric I/O; use util/lineio"},
+      {"untracked-timer", "raw steady/high_resolution clock reads in src/"},
+      {"hot-path-alloc", "heap allocation in src/{queueing,tiersim,rl}"},
+      {"float-eq", "exact float comparison against a literal"},
+      {"unchecked-measure", "raw measure() in src/core/; use try_measure"},
       {"include-cycle", "quoted-include cycle among project files"},
       {"layer-unknown", "src/ module not declared in layers.manifest"},
       {"layer-order", "module includes a module from a higher layer"},
@@ -903,7 +1085,9 @@ std::vector<Finding> analyze_sources(const std::vector<SourceFile>& files,
 
   std::map<std::string, FileAnalysis> by_file;
   for (const SourceFile* f : ordered) {
-    FileAnalyzer analyzer(f->relpath, scans.at(f->relpath).tokens);
+    const srcscan::ScanResult& scanned = scans.at(f->relpath);
+    line_findings(*f, scanned, findings);
+    FileAnalyzer analyzer(f->relpath, scanned.tokens);
     auto analysis = analyzer.run();
     findings.insert(findings.end(), analysis.findings.begin(),
                     analysis.findings.end());

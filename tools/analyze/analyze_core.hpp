@@ -1,47 +1,47 @@
-// rac-analyze: the project's semantic, cross-file static analyzer.
+// rac-analyze: the project's static checker.
 //
-// rac-lint stops at stripped-line regexes; this tool works on the srcscan
-// token stream with scope tracking and cross-file graphs, and enforces the
-// invariants the compiler cannot check and a per-line regex cannot see:
+// One srcscan pass per file (comments and string literals stripped, raw
+// strings and line continuations handled, a token stream with line
+// numbers) feeds every rule; rules() is the table and DESIGN.md §14 the
+// full description. The families:
 //
-// Include/layer graph (see include_graph.hpp):
-//   include-cycle   quoted-include cycle among project files.
-//   layer-unknown   src/ module missing from layers.manifest.
-//   layer-order     module includes a module from a higher layer.
-//   layer-edge      module include edge not declared in layers.manifest.
-//   layer-cycle     cycle in the observed module dependency graph.
+// Conventions, per stripped line: default-registry, raw-assert, iostream,
+//   pragma-once, include-hygiene, locale-io, untracked-timer,
+//   hot-path-alloc, float-eq, unchecked-measure. Per token: rand (ambient
+//   randomness outside util::Rng) and wall-clock (clock reads in the
+//   reproducible subsystems src/{core,rl,env,tiersim,queueing}); the same
+//   source list seeds the reachability taint below.
+//
+// Include/layer graph (see include_graph.hpp): include-cycle,
+//   layer-unknown, layer-order, layer-edge, layer-cycle against
+//   layers.manifest.
 //
 // Determinism dataflow:
 //   unordered-iter  range-for over an unordered_{map,set} whose body does
 //                   order-dependent work: compound-assignment accumulation
-//                   into outer state (floating-point sums change with
-//                   visit order), last-iteration-wins assignments of the
-//                   loop element, or appends to an outer container that is
-//                   never sorted afterwards (the PR 4 retrain bug class:
-//                   serialized output followed hash-table iteration
-//                   order). Scoped to src/ and bench/ -- decision traces
-//                   and bench digests are bit-compared across runs.
+//                   into outer state, last-iteration-wins assignments of
+//                   the loop element, or appends to an outer container
+//                   that is never sorted afterwards. Scoped to src/ and
+//                   bench/, whose outputs are bit-compared across runs.
 //   clock-reachability / rand-reachability
-//                   a reproducible subsystem (src/{core,rl,env,tiersim,
-//                   queueing}) calls a helper whose body -- possibly
-//                   through further helpers, in any src/ file -- reaches a
-//                   wall-clock read or ambient randomness. rac-lint flags
-//                   the direct read; this closes the wrapper loophole.
-//                   Taint sources in src/obs/, src/util/log.*, and
-//                   src/util/rng.* are exempt (instrumentation and the
-//                   seeded RNG own those reads by design).
+//                   a reproducible subsystem calls a helper whose body --
+//                   possibly through further helpers, in any src/ file --
+//                   reaches a wall-clock read or ambient randomness.
+//                   Sources in src/obs/, src/util/log.* and src/util/rng.*
+//                   are exempt (instrumentation and the seeded RNG own
+//                   those reads by design).
 //
 // Parallel safety:
 //   parallel-ref-capture
 //                   a lambda passed to parallel_for/parallel_map captures
 //                   outer state by reference and writes it without
-//                   indexing by the task-index parameter. That is a data
-//                   race TSan only reports when a schedule happens to
-//                   expose it; the write shape is detectable statically.
+//                   indexing by the task-index parameter -- a data race
+//                   TSan only reports when a schedule exposes it.
 //
-// Findings on a line carrying `// rac-analyze: allow(<rule>)` are
-// suppressed for the named rules; a suppression that suppresses nothing is
-// itself a finding (unused-suppression), exactly as in rac-lint.
+// Findings on a line carrying `// rac-analyze: allow(<rule>[, <rule>...])`
+// are suppressed for the named rules only, with the justification in the
+// same comment. An allow() that suppresses nothing on its line is itself a
+// finding (unused-suppression), so stale exemptions cannot accumulate.
 #pragma once
 
 #include <filesystem>
@@ -76,7 +76,7 @@ std::vector<Finding> analyze_sources(const std::vector<SourceFile>& files,
 
 /// Load every *.hpp/*.cpp/*.h/*.cc under root/<subdir> (or a single file)
 /// for each subdir, sorted. Throws std::runtime_error on a missing
-/// subdir, matching lint_tree.
+/// subdir.
 std::vector<SourceFile> load_tree(const std::filesystem::path& root,
                                   const std::vector<std::string>& subdirs);
 
